@@ -69,7 +69,7 @@ type RunStats struct {
 	Stack  uniaddr.Stats
 
 	// Engine carries the host-side DES engine counters of the run (events
-	// dispatched, goroutine handoffs, completion callbacks) — the split-phase
+	// dispatched, proc dispatches, completion callbacks) — the split-phase
 	// engine's cost model, not a simulated quantity. See sim.EngineStats.
 	Engine sim.EngineStats
 

@@ -6,42 +6,39 @@ package sim
 // interface-call overhead on the simulator's hottest path.
 type eventHeap []event
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+// before reports whether a precedes b in dispatch order.
+func (a *event) before(b *event) bool {
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	if h[i].key != nil && h[j].key != nil {
-		return keyCmp(h[i].key, h[j].key) < 0
+	if a.key != nil && b.key != nil {
+		return keyCmp(a.key, b.key) < 0
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
 // beats reports whether h's top event precedes o's top event — the shard
 // merge comparison of a multi-heap engine. Both heaps must be non-empty.
 // Heaps of one engine either all carry keys or none do, so the mixed case
 // cannot arise within a merge.
-func (h eventHeap) beats(o eventHeap) bool {
-	if h[0].t != o[0].t {
-		return h[0].t < o[0].t
-	}
-	if h[0].key != nil && o[0].key != nil {
-		return keyCmp(h[0].key, o[0].key) < 0
-	}
-	return h[0].seq < o[0].seq
-}
+func (h eventHeap) beats(o eventHeap) bool { return h[0].before(&o[0]) }
 
+// push and pop sift a hole rather than swapping: each level moves one event
+// instead of two, which matters because events hold pointers and every
+// move pays the GC write barrier while marking is on.
 func (h *eventHeap) push(ev event) {
 	*h = append(*h, ev)
 	s := *h
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s.less(i, parent) {
+		if !ev.before(&s[parent]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = ev
 }
 
 func (h eventHeap) peek() event { return h[0] }
@@ -50,25 +47,28 @@ func (h *eventHeap) pop() event {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
-	s[0] = s[n]
+	last := s[n]
 	s[n] = event{} // release references
-	*h = s[:n]
-	s = *h
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && s.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && s.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
+		if r := c + 1; r < n && s[r].before(&s[c]) {
+			c = r
+		}
+		if !s[c].before(&last) {
+			break
+		}
+		s[i] = s[c]
+		i = c
 	}
+	s[i] = last
 	return top
 }

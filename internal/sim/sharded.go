@@ -115,9 +115,10 @@ func (e *Engine) newKnode(t Time, parent *knode, idx uint64) *knode {
 
 // releaseKey drops the dispatched event's reference on its key, recycling
 // the node — and transitively any ancestors it was the last holder of —
-// onto this engine's free list. Runs on the goroutine executing the
-// engine's Run loop, so the free list needs no lock; the counts are atomic
-// because an ancestor may be released concurrently from another shard.
+// onto this engine's free list. Runs in the engine's dispatch loop, on
+// whichever goroutine holds the engine's control, so the free list needs no
+// lock; the counts are atomic because an ancestor may be released
+// concurrently from another shard.
 func (e *Engine) releaseKey(k *knode) {
 	for k != nil {
 		if atomic.AddInt32(&k.refs, -1) != 0 {

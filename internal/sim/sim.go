@@ -6,9 +6,9 @@
 // # Model
 //
 // An Engine owns a virtual clock and a priority queue of events. A Proc is a
-// goroutine that runs only when the engine hands it control; at any instant
-// at most one proc (or the engine itself) is executing, so a simulation is
-// fully sequential and deterministic: two runs with the same inputs produce
+// goroutine that runs only when it is handed control; at any instant at most
+// one goroutine — a proc, or the Run caller — holds control, so a simulation
+// is fully sequential and deterministic: two runs with the same inputs produce
 // the same event order, the same virtual timestamps, and the same results,
 // regardless of GOMAXPROCS.
 //
@@ -19,7 +19,7 @@
 //   - Wake(p)/WakeAfter(p, d): make a parked proc runnable (now or later).
 //
 // The engine additionally supports plain callback events via At/After, which
-// run on the engine goroutine itself.
+// run inline in the dispatch loop of whichever goroutine holds control.
 //
 // # Determinism
 //
@@ -31,7 +31,7 @@
 // # Completion chains
 //
 // A Chain is the split-phase counterpart of a sequence of Sleeps: a state
-// machine of timed callbacks that runs entirely on the engine goroutine,
+// machine of timed callbacks that runs entirely in the dispatch loop,
 // waking the issuing proc exactly once at the end. A multi-step protocol
 // (e.g. the five one-sided operations of a deque steal) issues its first
 // link, each link's callback performs its memory access and schedules the
@@ -48,23 +48,30 @@
 //
 // # Host performance
 //
-// The engine is two-tier: delay-only waits run as callbacks on the engine
-// goroutine (a heap pop plus a function call, ~10 ns), while a full proc
-// handoff — two rendezvous on the proc's single unbuffered channel — costs
-// hundreds of nanoseconds. Hot paths therefore avoid handoffs: multi-op
-// protocols use completion chains (one handoff per protocol), live procs
-// are kept on an intrusive list (no map operations on spawn/death), proc
-// names are formatted lazily (no fmt on the spawn path; see GoID), and
-// events are plain values in a slice-backed heap (no per-event allocation).
-// With a single OS thread available (GOMAXPROCS=1) the Go scheduler keeps
-// the remaining handoffs on-thread, which is ~4x cheaper than cross-thread
-// wakeups — the right setting when one simulation owns the whole process.
-// When many engines run concurrently (parallel experiment sweeps, one
-// engine per host goroutine), leave GOMAXPROCS alone: all host threads stay
-// busy and determinism is unaffected either way because each engine's event
-// order never depends on goroutine scheduling. EngineStats reports how many
-// events, handoffs and callbacks a run executed, so throughput (events/sec)
-// and the handoff-avoidance ratio are directly measurable.
+// The engine is two-tier: delay-only waits run as callbacks (a heap pop plus
+// a function call, ~10 ns), while a proc dispatch hands control to another
+// goroutine, which costs hundreds of nanoseconds. Control is passed like a
+// baton: the goroutine that holds it — the Run caller, or the proc that just
+// suspended or returned — runs the dispatch loop itself, executing callbacks
+// inline until the next proc event. A proc resuming itself (its own wake,
+// or a chain it issued completing) continues with no goroutine switch; a
+// wake of another proc is one send on that proc's unbuffered channel, one
+// switch; only the end of a run (empty queue, horizon, Stop, failure) goes
+// back to the Run caller, through the engine's home channel. Hot paths also
+// avoid dispatches altogether: multi-op protocols use completion chains (one
+// dispatch per protocol), live procs are kept on an intrusive list (no map
+// operations on spawn/death), proc names are formatted lazily (no fmt on the
+// spawn path; see GoID), and events are plain values in a slice-backed heap
+// (no per-event allocation). With a single OS thread available
+// (GOMAXPROCS=1) the Go scheduler keeps the remaining switches on-thread,
+// which is ~4x cheaper than cross-thread wakeups — the right setting when
+// one simulation owns the whole process. When many engines run
+// concurrently (parallel experiment sweeps, one engine per host goroutine),
+// leave GOMAXPROCS alone: all host threads stay busy and determinism is
+// unaffected either way because each engine's event order never depends on
+// goroutine scheduling. EngineStats reports how many events, proc
+// dispatches and callbacks a run executed, so throughput (events/sec) and
+// the dispatch-avoidance ratio are directly measurable.
 //
 // # Sharding
 //
@@ -85,8 +92,10 @@
 // from the Engine.Run call driving the simulation — i.e. on the caller's
 // goroutine, where it can be recovered per run. A panic inside a callback
 // (including a chain link) is wrapped the same way, attributed to the
-// pseudo-proc "callback". The engine shuts down its remaining procs first,
-// so no goroutines leak past the failure.
+// pseudo-proc "callback"; the callback may have run on a proc's goroutine,
+// which recovers the panic in its dispatch loop and hands the failure home
+// to Run. The engine shuts down its remaining procs first, so no goroutines
+// leak past the failure.
 package sim
 
 import (
@@ -163,9 +172,9 @@ func (s ProcState) String() string {
 type wakeSignal uint8
 
 const (
-	wakeRun  wakeSignal = iota // engine -> proc: run until the next suspension
-	wakeKill                   // engine -> proc: unwind and exit (Shutdown)
-	wakeDone                   // proc -> engine: suspended or finished
+	wakeRun  wakeSignal = iota // -> proc: run until the next suspension
+	wakeKill                   // Shutdown -> proc: unwind and exit
+	wakeDone                   // proc -> Shutdown: unwound
 )
 
 // killed is the panic payload used to unwind a proc's goroutine during
@@ -198,7 +207,7 @@ func (pp *ProcPanic) String() string {
 // program dispatches the same events in the same order at any -shards N.
 type EngineStats struct {
 	Events    uint64 // events dispatched by Run
-	Handoffs  uint64 // goroutine handoffs to procs (the expensive path)
+	Handoffs  uint64 // proc dispatches (the expensive path), incl. self-resumes that need no goroutine switch
 	Callbacks uint64 // engine-loop callbacks executed (incl. chain links)
 }
 
@@ -226,8 +235,10 @@ type event struct {
 
 // Engine is a discrete-event simulation engine. It is not safe for
 // concurrent use: Run, Shutdown, Go, At and After must be called either
-// from the goroutine that owns the engine (while Run is not executing a
-// proc) or from within a running proc.
+// from the goroutine that owns the engine (outside Run) or from within a
+// running proc or callback. Engine state is written by whichever goroutine
+// holds control; every transfer of control is a channel operation, which
+// orders those writes.
 //
 // An engine built with NewEngineShards(n) partitions its event queue into n
 // per-shard heaps (one per simulated node); dispatch pops the global
@@ -242,8 +253,10 @@ type Engine struct {
 	heaps    []eventHeap // per-shard event queues; len >= 1
 	curShard int         // shard of the event being dispatched (0 outside Run)
 	current  *Proc
-	ready    *Proc // proc to hand control to when the current callback returns
-	live     *Proc // head of the intrusive doubly-linked list of live procs
+	ready    *Proc         // proc to hand control to when the current callback returns
+	until    Time          // horizon of the current Run
+	home     chan struct{} // the Run caller waits here while procs hold control
+	live     *Proc         // head of the intrusive doubly-linked list of live procs
 	nlive    int
 	parked   int
 	stopped  bool
@@ -260,6 +273,7 @@ type Engine struct {
 	keyed    bool
 	rootSeq  *uint64
 	curKey   *knode // key of the event being dispatched (nil outside Run)
+	lastKey  *knode // key of the last dispatched event, released by the next loop iteration
 	curIdx   uint64 // schedule-call index within the current dispatch
 	keyPool  *knode // intrusive free list of recycled lineage nodes (parent = link)
 	keyPoolN int
@@ -281,6 +295,7 @@ func NewEngineShards(shards int) *Engine {
 	return &Engine{
 		heaps:  make([]eventHeap, shards),
 		sstats: make([]ShardStats, shards),
+		home:   make(chan struct{}),
 	}
 }
 
@@ -384,11 +399,11 @@ func (e *Engine) schedule(t Time, shard int, p *Proc, fn func()) {
 	e.heaps[shard].push(event{t: t, seq: e.seq, p: p, fn: fn, key: k})
 }
 
-// At schedules fn to run on the engine goroutine at virtual time t (which
+// At schedules fn to run in the dispatch loop at virtual time t (which
 // must not be in the past).
 func (e *Engine) At(t Time, fn func()) { e.schedule(t, e.curShard, nil, fn) }
 
-// After schedules fn to run on the engine goroutine d nanoseconds from now.
+// After schedules fn to run in the dispatch loop d nanoseconds from now.
 // The event lands on the shard of the scheduling context.
 func (e *Engine) After(d Time, fn func()) {
 	if d < 0 {
@@ -452,37 +467,10 @@ func (e *Engine) spawn(d Time, shard int, name, prefix string, id int64, body fu
 		id:     id,
 		shard:  shard,
 		ch:     make(chan wakeSignal),
+		body:   body,
 		state:  StateNew,
 	}
 	e.link(p)
-	go func() {
-		sig := <-p.ch
-		if sig != wakeKill {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(killed); ok {
-							return
-						}
-						// Real panic in simulation code: record it with the
-						// proc's identity and stack. The proc dies normally
-						// (yielding below); Engine.Run re-raises the failure
-						// on the goroutine driving the simulation, where it
-						// can be recovered per run.
-						buf := make([]byte, 64<<10)
-						pp := &ProcPanic{Proc: p.Name(), T: e.now, Value: r, Stack: buf[:runtime.Stack(buf, false)]}
-						if e.fail == nil {
-							e.fail = pp
-						}
-					}
-				}()
-				body(p)
-			}()
-		}
-		p.state = StateDead
-		e.unlink(p)
-		p.ch <- wakeDone
-	}()
 	p.state = StateScheduled
 	e.schedule(e.now+d, p.shard, p, nil)
 	return p
@@ -515,29 +503,60 @@ func (e *Engine) unlink(p *Proc) {
 // Run executes events until the queue is empty, Stop is called, or the next
 // event lies beyond the until horizon (pass Forever for no horizon). It
 // returns the virtual time at which it stopped. When a horizon is given and
-// events remain beyond it, the clock is advanced exactly to the horizon.
+// events remain beyond it, the clock is advanced exactly to the horizon; a
+// horizon already in the past leaves the clock where it is.
+//
+// The caller's goroutine runs the dispatch loop (see next) until the first
+// proc event, then waits on the engine's home channel while control passes
+// from proc to proc; whichever goroutine ends the run hands control back.
 //
 // A panic escaping an event — a proc body or an engine callback — is
 // re-raised from Run as a *ProcPanic after the remaining procs are torn
 // down, so no goroutines leak past a failed simulation.
 func (e *Engine) Run(until Time) Time {
+	e.until = until
+	if q := e.next(); q != nil {
+		e.pass(q)
+		<-e.home
+	}
+	if pp := e.fail; pp != nil {
+		// Tear the remaining procs down so no goroutine leaks, then re-raise
+		// on this (the caller's) goroutine.
+		e.fail = nil
+		e.Shutdown()
+		panic(pp)
+	}
+	return e.now
+}
+
+// next is the dispatch loop, run by whichever goroutine holds control: the
+// Run caller, a proc that just suspended, or a proc whose body just
+// returned. It executes callbacks inline and stops at the next proc event,
+// returning the proc to resume — already marked running and current — or
+// nil when the run is over (empty queue, horizon, Stop, or a recorded
+// failure). A callback panic ends the run with the failure recorded for Run
+// to re-raise; the stack captured here still shows the callback.
+func (e *Engine) next() (p *Proc) {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(*ProcPanic); ok {
-				panic(r) // proc failure, already wrapped and shut down
-			}
-			// A callback (chain link, timer, sampler) panicked on the engine
-			// goroutine. The stack is still intact here, so capture it, tear
-			// the procs down, and re-raise in the uniform shape.
 			buf := make([]byte, 64<<10)
-			pp := &ProcPanic{Proc: "callback", T: e.now, Value: r, Stack: buf[:runtime.Stack(buf, false)]}
-			e.current = nil
-			e.ready = nil
-			e.Shutdown()
-			panic(pp)
+			e.fail = &ProcPanic{Proc: "callback", T: e.now, Value: r, Stack: buf[:runtime.Stack(buf, false)]}
+			p = nil
 		}
 	}()
-	for !e.stopped {
+	e.current = nil
+	for {
+		if k := e.lastKey; k != nil {
+			// The previous dispatch is over. Its event's reference on its
+			// lineage key goes now: children scheduled during the dispatch
+			// hold their own, so this recycles exactly the nodes no live
+			// event can reach.
+			e.lastKey, e.curKey = nil, nil
+			e.releaseKey(k)
+		}
+		if e.stopped || e.fail != nil {
+			return nil
+		}
 		// Merge point: pop the global minimum across the per-shard heaps.
 		// The comparison is (t, seq) — or (t, lineage key) in keyed mode —
 		// so the dispatch order is identical to a single-heap engine.
@@ -551,13 +570,14 @@ func (e *Engine) Run(until Time) Time {
 			}
 		}
 		if best < 0 {
-			break
+			return nil
 		}
 		ev := e.heaps[best].peek()
-		if until >= 0 && ev.t > until {
-			e.now = until
-			e.curKey = nil
-			return e.now
+		if e.until >= 0 && ev.t > e.until {
+			if e.now < e.until {
+				e.now = e.until
+			}
+			return nil
 		}
 		e.heaps[best].pop()
 		e.now = ev.t
@@ -565,6 +585,7 @@ func (e *Engine) Run(until Time) Time {
 		if e.keyed {
 			e.curKey = ev.key
 			e.curIdx = 0
+			e.lastKey = ev.key
 		}
 		if ev.fn != nil {
 			if e.trace != nil {
@@ -574,48 +595,32 @@ func (e *Engine) Run(until Time) Time {
 			e.stats.Callbacks++
 			e.sstats[best].Events++
 			ev.fn()
-			if e.ready != nil {
+			if p := e.ready; p != nil {
 				// A chain completed inside the callback: hand the issuing
 				// proc control within this same event, so it resumes at
 				// exactly the (time, seq) instant of the final link.
-				p := e.ready
 				e.ready = nil
 				if e.trace != nil {
 					e.trace(fmt.Sprintf("t=%v resume %q", e.now, p.Name()))
 				}
-				e.runProc(p)
+				return e.dispatch(p)
 			}
-		} else if p := ev.p; p != nil {
-			if p.state == StateDead {
-				// A killed proc can leave a stale event behind.
-				if ev.key != nil {
-					e.curKey = nil
-					e.releaseKey(ev.key)
-				}
-				continue
-			}
+		} else if p := ev.p; p != nil && p.state != StateDead {
+			// (Skips the stale event a killed proc can leave behind.)
 			if e.trace != nil {
 				e.trace(fmt.Sprintf("t=%v run %q", e.now, p.Name()))
 			}
 			e.stats.Events++
 			e.sstats[best].Events++
-			e.runProc(p)
-		}
-		if ev.key != nil {
-			// The dispatched event's reference on its lineage key: children
-			// scheduled during the dispatch hold their own, so releasing here
-			// recycles exactly the nodes no live event can reach.
-			e.curKey = nil
-			e.releaseKey(ev.key)
+			return e.dispatch(p)
 		}
 	}
-	e.curKey = nil
-	return e.now
 }
 
-// runProc hands control to p and blocks until it suspends or finishes, then
-// propagates any failure its body recorded.
-func (e *Engine) runProc(p *Proc) {
+// dispatch makes p the running proc. Handoffs counts every proc dispatch,
+// including those that resume the dispatching proc itself without a
+// goroutine switch.
+func (e *Engine) dispatch(p *Proc) *Proc {
 	p.state = StateRunning
 	e.current = p
 	// The proc may be resumed from an event on a foreign shard (a completion
@@ -623,16 +628,22 @@ func (e *Engine) runProc(p *Proc) {
 	// Anything the proc schedules while running belongs to its own shard.
 	e.curShard = p.shard
 	e.stats.Handoffs++
-	p.ch <- wakeRun
-	<-p.ch
-	e.current = nil
-	if e.fail != nil {
-		// A proc body panicked. Tear the remaining procs down so no
-		// goroutine leaks, then re-raise on this (the caller's) goroutine.
-		pp := e.fail
-		e.fail = nil
-		e.Shutdown()
-		panic(pp)
+	return p
+}
+
+// pass hands control to q, the proc next returned, or home to the waiting
+// Run caller when the run is over (q == nil). A proc's first dispatch
+// starts its goroutine instead of waking it.
+func (e *Engine) pass(q *Proc) {
+	switch {
+	case q == nil:
+		e.home <- struct{}{}
+	case q.body != nil:
+		body := q.body
+		q.body = nil
+		go q.main(body)
+	default:
+		q.ch <- wakeRun
 	}
 }
 
@@ -651,8 +662,13 @@ func (e *Engine) Shutdown() {
 	e.stopped = true
 	for e.live != nil {
 		p := e.live
-		switch p.state {
-		case StateParked, StateScheduled, StateNew:
+		switch {
+		case p.body != nil:
+			// Never dispatched, so there is no goroutine to unwind.
+			p.body = nil
+			p.state = StateDead
+			e.unlink(p)
+		case p.state == StateParked || p.state == StateScheduled:
 			p.state = StateDead
 			p.ch <- wakeKill
 			<-p.ch
@@ -665,6 +681,7 @@ func (e *Engine) Shutdown() {
 	}
 	e.chains = nil
 	e.ready = nil
+	e.curKey, e.lastKey = nil, nil
 	e.keyPool = nil
 	e.keyPoolN = 0
 }
@@ -677,11 +694,17 @@ type Proc struct {
 	name string // explicit name, or "" when prefix+id is formatted lazily
 	id   int64
 
-	// ch is the proc's single handoff channel, used in strict alternation:
-	// engine sends wakeRun/wakeKill, proc answers wakeDone when it suspends
-	// or finishes. Unbuffered, so every transfer is a direct rendezvous the
-	// Go scheduler can service without a queue round trip.
+	// ch is the proc's wake channel. The goroutine handing a suspended proc
+	// control (the Run caller or another proc) sends wakeRun; Shutdown sends
+	// wakeKill and waits for the proc's wakeDone. A suspending proc never
+	// answers on it: it passes control on through the next proc's channel or
+	// the engine's home channel. Unbuffered, so every transfer is a direct
+	// rendezvous the Go scheduler can service without a queue round trip.
 	ch chan wakeSignal
+
+	// body is kept until the proc's first dispatch, which starts its
+	// goroutine already holding control; nil once started.
+	body func(p *Proc)
 
 	prefix             string
 	shard              int // owning shard; stable for the proc's lifetime
@@ -710,9 +733,57 @@ func (p *Proc) State() ProcState { return p.state }
 // Shard returns the shard that owns this proc (0 in a single-heap engine).
 func (p *Proc) Shard() int { return p.shard }
 
-// yield returns control to the engine and blocks until the next wake.
-func (p *Proc) yield() {
+// main is the proc's goroutine, started by its first dispatch. When its
+// body returns (or panics, the failure recorded for Run) the goroutine
+// still holds control: it runs the dispatch loop, hands control on, and
+// exits.
+func (p *Proc) main(body func(p *Proc)) {
+	e := p.eng
+	finished := p.runBody(body)
+	p.state = StateDead
+	e.unlink(p)
+	if finished {
+		e.pass(e.next())
+		return
+	}
+	// Killed by Shutdown, which waits for the acknowledgement.
 	p.ch <- wakeDone
+}
+
+// runBody runs the proc's body, reporting false if Shutdown unwound it.
+func (p *Proc) runBody(body func(p *Proc)) (finished bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(killed); ok {
+				return
+			}
+			// Real panic in simulation code: record it with the proc's
+			// identity and stack. The proc dies normally; Engine.Run
+			// re-raises the failure on the goroutine driving the
+			// simulation, where it can be recovered per run.
+			e := p.eng
+			buf := make([]byte, 64<<10)
+			pp := &ProcPanic{Proc: p.Name(), T: e.now, Value: r, Stack: buf[:runtime.Stack(buf, false)]}
+			if e.fail == nil {
+				e.fail = pp
+			}
+			finished = true
+		}
+	}()
+	body(p)
+	return true
+}
+
+// yield suspends the proc: it runs the dispatch loop on the proc's own
+// goroutine and returns at once if the next proc event is its own;
+// otherwise it passes control on and blocks until the next wake.
+func (p *Proc) yield() {
+	e := p.eng
+	q := e.next()
+	if q == p {
+		return
+	}
+	e.pass(q)
 	if sig := <-p.ch; sig == wakeKill {
 		panic(killed{})
 	}
@@ -792,10 +863,10 @@ func (e *Engine) NewChain(p *Proc) *Chain {
 	return &Chain{eng: e, p: p}
 }
 
-// Then schedules the next link of the chain: fn runs on the engine
-// goroutine d nanoseconds from now — the split-phase equivalent of
-// Sleep(d) followed by fn inline. One link consumes exactly one event and
-// one sequence number, like the Sleep it replaces.
+// Then schedules the next link of the chain: fn runs in the dispatch loop
+// d nanoseconds from now — the split-phase equivalent of Sleep(d) followed
+// by fn inline. One link consumes exactly one event and one sequence
+// number, like the Sleep it replaces.
 func (c *Chain) Then(d Time, fn func()) { c.eng.After(d, fn) }
 
 // Complete finishes the chain. Called from inside a link's callback it

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -134,6 +135,21 @@ func TestRunHorizon(t *testing.T) {
 	if end != 30 || len(fired) != 3 {
 		t.Errorf("resumed run: end=%v fired=%d, want 30, 3", end, len(fired))
 	}
+
+	// A horizon already in the past must not rewind the clock while events
+	// are pending, or later relative delays would fire early.
+	e.At(200, func() { fired = append(fired, 200) })
+	if end = e.Run(100); end != 100 {
+		t.Errorf("Run(100) = %v, want 100", end)
+	}
+	if end = e.Run(50); end != 100 || e.Now() != 100 {
+		t.Errorf("Run(50) after Run(100): end=%v Now()=%v, want 100, 100", end, e.Now())
+	}
+	e.After(10, func() { fired = append(fired, e.Now()) })
+	e.Run(Forever)
+	if want := []Time{10, 20, 30, 110, 200}; fmt.Sprint(fired) != fmt.Sprint(want) {
+		t.Errorf("fired %v, want %v", fired, want)
+	}
 }
 
 func TestRunHorizonAdvancesClockWithoutEvents(t *testing.T) {
@@ -179,6 +195,7 @@ func TestDeadlockDetection(t *testing.T) {
 }
 
 func TestShutdownKillsScheduledProcs(t *testing.T) {
+	base := runtime.NumGoroutine()
 	e := NewEngine()
 	reached := false
 	e.Go("sleeper", func(p *Proc) {
@@ -192,6 +209,9 @@ func TestShutdownKillsScheduledProcs(t *testing.T) {
 	}
 	if e.Live() != 0 {
 		t.Errorf("Live = %d, want 0", e.Live())
+	}
+	if n := countGoroutines(base); n > base {
+		t.Errorf("goroutines: %d after Shutdown, %d before", n, base)
 	}
 }
 
@@ -416,6 +436,7 @@ func TestProcPanicPropagatesToRunCaller(t *testing.T) {
 	// A panic inside a proc body must surface from Engine.Run as a
 	// *ProcPanic on the caller's goroutine (so embedders can recover it per
 	// run), and every other proc must be torn down — no leaked goroutines.
+	base := runtime.NumGoroutine()
 	e := NewEngine()
 	e.Go("bystander", func(p *Proc) { p.Park() })
 	e.GoAfter(50, "bad", func(p *Proc) {
@@ -436,6 +457,9 @@ func TestProcPanicPropagatesToRunCaller(t *testing.T) {
 		}
 		if e.Live() != 0 {
 			t.Errorf("%d procs alive after failed run; engine did not shut down", e.Live())
+		}
+		if n := countGoroutines(base); n > base {
+			t.Errorf("goroutines: %d after failed run, %d before", n, base)
 		}
 	}()
 	e.Run(Forever)
@@ -516,6 +540,7 @@ func TestChainPooling(t *testing.T) {
 func TestShutdownWithPendingChain(t *testing.T) {
 	// Shutdown while a proc is parked mid-chain must unwind it cleanly: the
 	// goroutine exits, the live count drops to zero, nothing panics.
+	base := runtime.NumGoroutine()
 	e := NewEngine()
 	e.Go("issuer", func(p *Proc) {
 		c := e.NewChain(p)
@@ -531,12 +556,16 @@ func TestShutdownWithPendingChain(t *testing.T) {
 	if e.Live() != 0 {
 		t.Errorf("Live = %d after Shutdown, want 0", e.Live())
 	}
+	if n := countGoroutines(base); n > base {
+		t.Errorf("goroutines: %d after Shutdown, %d before", n, base)
+	}
 }
 
 func TestProcPanicFromCompletionCallback(t *testing.T) {
-	// A panic inside a chain link runs on the engine goroutine; Run must
-	// re-raise it as a *ProcPanic attributed to "callback" and tear down the
-	// waiting proc.
+	// A panic inside a chain link runs in the dispatch loop of the issuer's
+	// own goroutine, which suspended in Wait; Run must re-raise it as a
+	// *ProcPanic attributed to "callback" and tear down the waiting proc.
+	base := runtime.NumGoroutine()
 	e := NewEngine()
 	e.Go("issuer", func(p *Proc) {
 		c := e.NewChain(p)
@@ -555,6 +584,9 @@ func TestProcPanicFromCompletionCallback(t *testing.T) {
 		}
 		if e.Live() != 0 {
 			t.Errorf("%d procs alive after failed run", e.Live())
+		}
+		if n := countGoroutines(base); n > base {
+			t.Errorf("goroutines: %d after failed run, %d before", n, base)
 		}
 	}()
 	e.Run(Forever)
@@ -615,9 +647,10 @@ func TestEngineStatsDeterministic(t *testing.T) {
 }
 
 func BenchmarkEngineHandoff(b *testing.B) {
-	// One full proc handoff per iteration — wake event, channel rendezvous
-	// into the proc, rendezvous back at Park. This is the expensive path
-	// that completion chains amortize.
+	// One Run-caller↔proc round trip per iteration: Run dispatches the wake
+	// event into the proc, the proc parks, finds the queue empty and hands
+	// control home. Two goroutine switches; a handoff from one proc to
+	// another (BenchmarkProcToProc) takes one.
 	e := NewEngine()
 	p := e.Go("w", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
@@ -632,9 +665,33 @@ func BenchmarkEngineHandoff(b *testing.B) {
 	}
 }
 
+// BenchmarkProcToProc is a ping-pong of two procs, each waking the other
+// and parking — the dominant shape of a UTS run. Every handoff goes
+// straight from proc to proc, one goroutine switch; one iteration is two
+// handoffs.
+func BenchmarkProcToProc(b *testing.B) {
+	e := NewEngine()
+	var ping, pong *Proc
+	pong = e.Go("pong", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Park()
+			e.Wake(ping)
+		}
+	})
+	ping = e.Go("ping", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			e.Wake(pong)
+			p.Park()
+		}
+	})
+	b.ResetTimer()
+	e.Run(Forever)
+}
+
 func BenchmarkChainProtocol(b *testing.B) {
 	// A five-link chain per iteration — the shape of a THE-protocol steal —
-	// costing five callback events but only one proc handoff.
+	// costing five callback events but only one proc handoff, which resumes
+	// the thief on its own goroutine with no switch at all.
 	e := NewEngine()
 	e.Go("thief", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
