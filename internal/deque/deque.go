@@ -62,8 +62,9 @@ type Deque struct {
 	entrySize int
 	capacity  int
 
-	base rdma.Addr // block: header + entries
-	objs []any     // parallel Go-side payloads, indexed by slot
+	base rdma.Addr     // block: header + entries
+	objs []any         // parallel Go-side payloads, indexed by slot (see setObj)
+	free *stealAttempt // finished steal-attempt records, for reuse
 
 	St Stats
 
@@ -94,7 +95,6 @@ func New(fab *rdma.Fabric, rank, capacity, entrySize int) *Deque {
 		rank:      rank,
 		entrySize: entrySize,
 		capacity:  capacity,
-		objs:      make([]any, capacity),
 	}
 	d.base = fab.AllocStatic(rank, headerLen+capacity*entrySize)
 	return d
@@ -164,7 +164,7 @@ func (d *Deque) Push(p *sim.Proc, entry []byte, obj any) {
 	}
 	off := d.entryOff(b)
 	copy(d.seg().Bytes(d.base+rdma.Addr(off), d.entrySize), entry)
-	d.objs[d.slotIndex(b)] = obj
+	d.setObj(d.slotIndex(b), obj)
 	d.setBot(b + 1)
 	d.St.Pushes++
 }
@@ -186,7 +186,7 @@ func (d *Deque) PushTop(p *sim.Proc, entry []byte, obj any) {
 	}
 	off := d.entryOff(t)
 	copy(d.seg().Bytes(d.base+rdma.Addr(off), d.entrySize), entry)
-	d.objs[d.slotIndex(t)] = obj
+	d.setObj(d.slotIndex(t), obj)
 	d.setTop(t)
 	d.ownerUnlock()
 	d.St.Pushes++
@@ -249,10 +249,33 @@ func (d *Deque) take(slot int64) ([]byte, any) {
 	off := d.entryOff(slot)
 	entry := make([]byte, d.entrySize)
 	copy(entry, d.seg().Bytes(d.base+rdma.Addr(off), d.entrySize))
-	i := d.slotIndex(slot)
+	return entry, d.takeObj(d.slotIndex(slot))
+}
+
+// setObj stores obj in ring slot i, growing the payload ring (by doubling,
+// up to capacity) the first time a slot past its end is used: a deque that
+// never holds more than a few entries never pays for a full ring.
+func (d *Deque) setObj(i int, obj any) {
+	if i >= len(d.objs) {
+		n := max(len(d.objs)*2, 16)
+		for n <= i {
+			n *= 2
+		}
+		grown := make([]any, min(n, d.capacity))
+		copy(grown, d.objs)
+		d.objs = grown
+	}
+	d.objs[i] = obj
+}
+
+// takeObj removes and returns the payload in ring slot i.
+func (d *Deque) takeObj(i int) any {
+	if i >= len(d.objs) {
+		return nil
+	}
 	obj := d.objs[i]
 	d.objs[i] = nil
-	return entry, obj
+	return obj
 }
 
 // Steal removes and returns the top entry on behalf of a remote thief
@@ -263,110 +286,10 @@ func (d *Deque) take(slot int64) ([]byte, any) {
 // it reports whether the deque looked empty or the lock was contended via
 // the deque's stats.
 func (d *Deque) Steal(p *sim.Proc, thiefRank int) ([]byte, any, bool) {
-	fab := d.fab
-	c := fab.Eng.NewChain(p)
-	hdrLoc := d.loc(offTop, 16)
-	lockLoc := d.loc(offLock, 8)
-	var (
-		hdr   [16]byte
-		entry []byte
-		obj   any
-		ok    bool
-	)
-	// Tracing: each chain link becomes a victim-side phase span; `phase`
-	// stays nil (one captured word, no emission) when tracing is off. All
-	// spans of this protocol instance share the correlation id sid.
-	tr := d.Tr
-	var (
-		sid   int64
-		t0    sim.Time
-		phase func(k obs.Kind)
-	)
-	if tr != nil {
-		sid = tr.Seq()
-		t0 = fab.Eng.Now()
-		ph := t0
-		phase = func(k obs.Kind) {
-			now := fab.Eng.Now()
-			tr.Event(obs.Event{T: ph, Dur: now - ph, Rank: d.rank, Kind: k, Task: -1, Peer: thiefRank, ID: sid})
-			ph = now
-		}
-	}
-	// Fast empty check: one 16-byte get of (top, bottom).
-	fab.GetAsync(c, thiefRank, hdrLoc, hdr[:], func() {
-		if phase != nil {
-			phase(obs.KindDequeHdr)
-		}
-		t := int64(le(hdr[0:8]))
-		b := int64(le(hdr[8:16]))
-		if t >= b {
-			d.St.StealsEmpty++
-			c.Complete()
-			return
-		}
-		// Lock.
-		fab.CASAsync(c, thiefRank, lockLoc, 0, 1, func(observed int64) {
-			if phase != nil {
-				phase(obs.KindDequeCAS)
-			}
-			if observed != 0 {
-				d.St.StealsContended++
-				c.Complete()
-				return
-			}
-			// Recheck under the lock.
-			fab.GetAsync(c, thiefRank, hdrLoc, hdr[:], func() {
-				if phase != nil {
-					phase(obs.KindDequeRecheck)
-				}
-				t = int64(le(hdr[0:8]))
-				b = int64(le(hdr[8:16]))
-				if t >= b {
-					fab.PutInt64Async(c, thiefRank, lockLoc, 0, func() {
-						if phase != nil {
-							phase(obs.KindDequeUnlock)
-						}
-						d.St.StealsEmpty++
-						c.Complete()
-					})
-					return
-				}
-				// Read the top descriptor.
-				entry = make([]byte, d.entrySize)
-				fab.GetAsync(c, thiefRank, d.loc(d.entryOff(t), d.entrySize), entry, func() {
-					if phase != nil {
-						phase(obs.KindDequeRead)
-					}
-					// Advance top, then unlock.
-					fab.PutInt64Async(c, thiefRank, d.loc(offTop, 8), t+1, func() {
-						if phase != nil {
-							phase(obs.KindDequeAdvance)
-						}
-						fab.PutInt64Async(c, thiefRank, lockLoc, 0, func() {
-							if phase != nil {
-								phase(obs.KindDequeUnlock)
-							}
-							// Simulator bookkeeping: hand over the payload.
-							i := d.slotIndex(t)
-							obj = d.objs[i]
-							d.objs[i] = nil
-							ok = true
-							d.St.StealsOK++
-							if tr != nil {
-								tr.Event(obs.Event{
-									T: t0, Dur: fab.Eng.Now() - t0, Rank: thiefRank,
-									Kind: obs.KindDequeSteal, Task: -1, Peer: d.rank,
-									Size: int64(d.entrySize), ID: sid,
-								})
-							}
-							c.Complete()
-						})
-					})
-				})
-			})
-		})
-	})
-	c.Wait()
+	a := d.attempt(p, thiefRank, nil)
+	a.run()
+	entry, obj, ok := a.entry, a.obj, a.ok
+	d.release(a)
 	return entry, obj, ok
 }
 
@@ -388,128 +311,220 @@ func (d *Deque) Steal(p *sim.Proc, thiefRank int) ([]byte, any, bool) {
 // success counts once in StealsOK and once in BatchSteals, with k added to
 // BatchEntries.
 func (d *Deque) StealN(p *sim.Proc, thiefRank int, take func(avail int64) int64) ([][]byte, []any, bool) {
-	fab := d.fab
-	c := fab.Eng.NewChain(p)
-	hdrLoc := d.loc(offTop, 16)
-	lockLoc := d.loc(offLock, 8)
-	var (
-		hdr     [16]byte
-		entries [][]byte
-		objs    []any
-		ok      bool
-	)
-	tr := d.Tr
-	var (
-		sid   int64
-		t0    sim.Time
-		phase func(k obs.Kind)
-	)
-	if tr != nil {
-		sid = tr.Seq()
-		t0 = fab.Eng.Now()
-		ph := t0
-		phase = func(k obs.Kind) {
-			now := fab.Eng.Now()
-			tr.Event(obs.Event{T: ph, Dur: now - ph, Rank: d.rank, Kind: k, Task: -1, Peer: thiefRank, ID: sid})
-			ph = now
-		}
-	}
-	fab.GetAsync(c, thiefRank, hdrLoc, hdr[:], func() {
-		if phase != nil {
-			phase(obs.KindDequeHdr)
-		}
-		t := int64(le(hdr[0:8]))
-		b := int64(le(hdr[8:16]))
-		if t >= b {
-			d.St.StealsEmpty++
-			c.Complete()
-			return
-		}
-		fab.CASAsync(c, thiefRank, lockLoc, 0, 1, func(observed int64) {
-			if phase != nil {
-				phase(obs.KindDequeCAS)
-			}
-			if observed != 0 {
-				d.St.StealsContended++
-				c.Complete()
-				return
-			}
-			fab.GetAsync(c, thiefRank, hdrLoc, hdr[:], func() {
-				if phase != nil {
-					phase(obs.KindDequeRecheck)
-				}
-				t = int64(le(hdr[0:8]))
-				b = int64(le(hdr[8:16]))
-				if t >= b {
-					fab.PutInt64Async(c, thiefRank, lockLoc, 0, func() {
-						if phase != nil {
-							phase(obs.KindDequeUnlock)
-						}
-						d.St.StealsEmpty++
-						c.Complete()
-					})
-					return
-				}
-				k := take(b - t)
-				if k < 1 {
-					k = 1
-				}
-				if k > b-t {
-					k = b - t
-				}
-				entries = make([][]byte, k)
-				// Read the k oldest descriptors, oldest-first, as one get per
-				// entry (the real protocol could coalesce contiguous slots,
-				// but the ring may wrap and per-entry gets keep the timing
-				// model honest about the widened read phase).
-				var readNext func(i int64)
-				readNext = func(i int64) {
-					if i == k {
-						// Advance top past the batch, then unlock.
-						fab.PutInt64Async(c, thiefRank, d.loc(offTop, 8), t+k, func() {
-							if phase != nil {
-								phase(obs.KindDequeAdvance)
-							}
-							fab.PutInt64Async(c, thiefRank, lockLoc, 0, func() {
-								if phase != nil {
-									phase(obs.KindDequeUnlock)
-								}
-								objs = make([]any, k)
-								for j := int64(0); j < k; j++ {
-									s := d.slotIndex(t + j)
-									objs[j] = d.objs[s]
-									d.objs[s] = nil
-								}
-								ok = true
-								d.St.StealsOK++
-								d.St.BatchSteals++
-								d.St.BatchEntries += uint64(k)
-								if tr != nil {
-									tr.Event(obs.Event{
-										T: t0, Dur: fab.Eng.Now() - t0, Rank: thiefRank,
-										Kind: obs.KindDequeSteal, Task: -1, Peer: d.rank,
-										Size: k * int64(d.entrySize), ID: sid,
-									})
-								}
-								c.Complete()
-							})
-						})
-						return
-					}
-					entries[i] = make([]byte, d.entrySize)
-					fab.GetAsync(c, thiefRank, d.loc(d.entryOff(t+i), d.entrySize), entries[i], func() {
-						if phase != nil {
-							phase(obs.KindDequeRead)
-						}
-						readNext(i + 1)
-					})
-				}
-				readNext(0)
-			})
-		})
-	})
-	c.Wait()
+	a := d.attempt(p, thiefRank, take)
+	a.run()
+	entries, objs, ok := a.entries, a.objs, a.ok
+	d.release(a)
 	return entries, objs, ok
+}
+
+// stealAttempt is the state of one in-flight steal protocol (Steal, or
+// StealN when take is set). Records are pooled per deque, the way the
+// engine pools its chains, and each record's link callbacks are method
+// values bound once when it is created, so an attempt that finds the deque
+// empty or its lock taken allocates nothing beyond the fabric's completion
+// events. Several thieves may be stealing from one deque at a time, each
+// with its own record.
+type stealAttempt struct {
+	d     *Deque
+	c     *sim.Chain
+	thief int
+	take  func(avail int64) int64 // nil for a single-entry Steal
+
+	hdr  [16]byte // (top, bottom) as last read
+	t, b int64
+	k, i int64 // entries claimed (0 until the recheck succeeds), entries read
+
+	// Results: entry/obj for Steal, entries/objs for StealN.
+	entry   []byte
+	obj     any
+	entries [][]byte
+	objs    []any
+	ok      bool
+
+	// Tracing: each chain link becomes a victim-side phase span starting at
+	// ph; all spans of one attempt share the correlation id sid. tr is nil
+	// when tracing is off.
+	tr     obs.Tracer
+	sid    int64
+	t0, ph sim.Time
+
+	onHdr, onRecheck, onRead, onAdvance, onUnlock func()
+	onCAS                                         func(observed int64)
+
+	next *stealAttempt // deque free list
+}
+
+// attempt takes a record from the deque's free list (or makes one) and
+// readies it for a steal by thiefRank, charged to p.
+func (d *Deque) attempt(p *sim.Proc, thiefRank int, take func(avail int64) int64) *stealAttempt {
+	a := d.free
+	if a != nil {
+		d.free = a.next
+		a.next = nil
+	} else {
+		a = &stealAttempt{d: d}
+		a.onHdr = a.hdrDone
+		a.onCAS = a.casDone
+		a.onRecheck = a.recheckDone
+		a.onRead = a.readDone
+		a.onAdvance = a.advanceDone
+		a.onUnlock = a.unlockDone
+	}
+	a.c = d.fab.Eng.NewChain(p)
+	a.thief = thiefRank
+	a.take = take
+	a.k, a.i = 0, 0
+	a.tr = d.Tr
+	if a.tr != nil {
+		a.sid = a.tr.Seq()
+		a.t0 = d.fab.Eng.Now()
+		a.ph = a.t0
+	}
+	return a
+}
+
+// release clears a finished record's references and returns it to the
+// free list.
+func (d *Deque) release(a *stealAttempt) {
+	a.c, a.take, a.tr = nil, nil, nil
+	a.entry, a.obj, a.entries, a.objs, a.ok = nil, nil, nil, nil, false
+	a.next = d.free
+	d.free = a
+}
+
+// run drives the protocol to completion: it issues the fast empty check and
+// parks the thief until the last link completes the chain.
+func (a *stealAttempt) run() {
+	d := a.d
+	d.fab.GetAsync(a.c, a.thief, d.loc(offTop, 16), a.hdr[:], a.onHdr)
+	a.c.Wait()
+}
+
+// phase emits the victim-side span of the link that just completed.
+func (a *stealAttempt) phase(k obs.Kind) {
+	if a.tr == nil {
+		return
+	}
+	now := a.d.fab.Eng.Now()
+	a.tr.Event(obs.Event{T: a.ph, Dur: now - a.ph, Rank: a.d.rank, Kind: k, Task: -1, Peer: a.thief, ID: a.sid})
+	a.ph = now
+}
+
+// readHdr decodes the (top, bottom) pair last read into hdr.
+func (a *stealAttempt) readHdr() {
+	a.t = int64(le(a.hdr[0:8]))
+	a.b = int64(le(a.hdr[8:16]))
+}
+
+// hdrDone follows the fast empty check: give up on an empty deque, else
+// take the lock.
+func (a *stealAttempt) hdrDone() {
+	d := a.d
+	a.phase(obs.KindDequeHdr)
+	a.readHdr()
+	if a.t >= a.b {
+		d.St.StealsEmpty++
+		a.c.Complete()
+		return
+	}
+	d.fab.CASAsync(a.c, a.thief, d.loc(offLock, 8), 0, 1, a.onCAS)
+}
+
+// casDone follows the lock CAS: give up if another holder has it, else
+// recheck under the lock.
+func (a *stealAttempt) casDone(observed int64) {
+	d := a.d
+	a.phase(obs.KindDequeCAS)
+	if observed != 0 {
+		d.St.StealsContended++
+		a.c.Complete()
+		return
+	}
+	d.fab.GetAsync(a.c, a.thief, d.loc(offTop, 16), a.hdr[:], a.onRecheck)
+}
+
+// recheckDone follows the recheck: unlock an emptied deque (k stays 0),
+// else claim k entries and start reading them.
+func (a *stealAttempt) recheckDone() {
+	d := a.d
+	a.phase(obs.KindDequeRecheck)
+	a.readHdr()
+	if a.t >= a.b {
+		d.fab.PutInt64Async(a.c, a.thief, d.loc(offLock, 8), 0, a.onUnlock)
+		return
+	}
+	a.k = 1
+	if a.take != nil {
+		a.k = min(max(a.take(a.b-a.t), 1), a.b-a.t)
+		a.entries = make([][]byte, a.k)
+	}
+	a.readNext()
+}
+
+// readNext reads entry i of the claim, oldest-first, as one get per entry
+// (the real protocol could coalesce contiguous slots, but the ring may wrap
+// and per-entry gets keep the timing model honest about the widened read
+// phase); after the last one it advances top past the claim.
+func (a *stealAttempt) readNext() {
+	d := a.d
+	if a.i == a.k {
+		d.fab.PutInt64Async(a.c, a.thief, d.loc(offTop, 8), a.t+a.k, a.onAdvance)
+		return
+	}
+	e := make([]byte, d.entrySize)
+	if a.take != nil {
+		a.entries[a.i] = e
+	} else {
+		a.entry = e
+	}
+	d.fab.GetAsync(a.c, a.thief, d.loc(d.entryOff(a.t+a.i), d.entrySize), e, a.onRead)
+}
+
+func (a *stealAttempt) readDone() {
+	a.phase(obs.KindDequeRead)
+	a.i++
+	a.readNext()
+}
+
+// advanceDone follows the top advance: release the lock.
+func (a *stealAttempt) advanceDone() {
+	d := a.d
+	a.phase(obs.KindDequeAdvance)
+	d.fab.PutInt64Async(a.c, a.thief, d.loc(offLock, 8), 0, a.onUnlock)
+}
+
+// unlockDone follows the unlock and finishes the protocol: an attempt that
+// claimed nothing found the deque emptied under the lock; otherwise the
+// payloads of the claimed slots are handed over (simulator bookkeeping).
+func (a *stealAttempt) unlockDone() {
+	d := a.d
+	a.phase(obs.KindDequeUnlock)
+	if a.k == 0 {
+		d.St.StealsEmpty++
+		a.c.Complete()
+		return
+	}
+	if a.take != nil {
+		a.objs = make([]any, a.k)
+		for j := range a.objs {
+			a.objs[j] = d.takeObj(d.slotIndex(a.t + int64(j)))
+		}
+		d.St.BatchSteals++
+		d.St.BatchEntries += uint64(a.k)
+	} else {
+		a.obj = d.takeObj(d.slotIndex(a.t))
+	}
+	a.ok = true
+	d.St.StealsOK++
+	if a.tr != nil {
+		a.tr.Event(obs.Event{
+			T: a.t0, Dur: d.fab.Eng.Now() - a.t0, Rank: a.thief,
+			Kind: obs.KindDequeSteal, Task: -1, Peer: d.rank,
+			Size: a.k * int64(d.entrySize), ID: a.sid,
+		})
+	}
+	a.c.Complete()
 }
 
 func le(b []byte) uint64 {

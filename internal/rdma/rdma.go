@@ -4,11 +4,17 @@
 // fetch-and-add / compare-and-swap on 8-byte words, plus per-rank registered
 // memory segments with a local allocator.
 //
-// Every rank (simulated process, one per core) owns a Segment: a flat byte
-// array standing in for its pinned, RDMA-registered memory. A Loc names a
-// remote variable by (rank, address, size), mirroring the paper's
-// "location" notion (§III-A: "the worker ID of the owner, the virtual
-// address, and the size").
+// Every rank (simulated process, one per core) owns a Segment standing in
+// for its pinned, RDMA-registered memory: a growable dynamic zone for small
+// objects and a static zone of fixed blocks for the large reservations
+// (uni-address and evacuation regions, queues). Like the paper's runtime,
+// which reserves large regions but pays only for the pages it touches, a
+// Segment backs each static block lazily, up to the highest byte touched
+// so far, so a reservation costs host memory in proportion to its use.
+//
+// A Loc names a remote variable by (rank, address, size), mirroring the
+// paper's "location" notion (§III-A: "the worker ID of the owner, the
+// virtual address, and the size").
 //
 // Timing: an operation issued by rank F against rank T completes after the
 // machine model's one-sided latency (intra- vs inter-node, plus payload
@@ -24,12 +30,15 @@
 // engine-loop callbacks with a single proc handoff at the end. The blocking
 // methods (Get, Put, CAS, ...) are thin park-until-complete wrappers over
 // the async ones and are exactly equivalent in virtual time: each remote op
-// consumes one event and one sequence number either way.
+// consumes one event and one sequence number either way, and a local op
+// none. A local blocking op performs its access inline and allocates
+// nothing.
 package rdma
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"contsteal/internal/obs"
 	"contsteal/internal/sim"
@@ -180,11 +189,13 @@ func (f *Fabric) TotalStats() OpStats {
 // cost (Machine.AllocCost) is charged by the caller, not here.
 func (f *Fabric) Alloc(rank, size int) Addr { return f.segs[rank].alloc(size) }
 
-// AllocStatic allocates size bytes in rank's *static zone*: a separate,
-// never-freed address range (at StaticBase and up) intended for large
-// fixed structures (queues, stack regions). Keeping them out of the
-// dynamic zone means small-object churn never forces the backing of the
-// big reservations to be committed.
+// AllocStatic allocates a block of size bytes in rank's *static zone*: a
+// separate, never-freed address range (at StaticBase and up) intended for
+// large fixed structures (queues, stack regions). Each block has its own
+// backing, committed lazily from the block's start up to the highest byte
+// touched, so a large reservation costs host memory only for what the rank
+// uses of it, and touching one block never commits another. An access
+// must lie within a single block.
 func (f *Fabric) AllocStatic(rank, size int) Addr { return f.segs[rank].allocStatic(size) }
 
 // Free returns a block previously obtained from Alloc to rank's free list.
@@ -216,6 +227,20 @@ func (f *Fabric) local(from int, to int32) bool {
 	return false
 }
 
+// checkGet and checkPut reject a transfer larger than the variable it
+// names.
+func checkGet(n int, loc Loc) {
+	if int32(n) > loc.Size {
+		panic(fmt.Sprintf("rdma: get of %d bytes from %v", n, loc))
+	}
+}
+
+func checkPut(n int, loc Loc) {
+	if int32(n) > loc.Size {
+		panic(fmt.Sprintf("rdma: put of %d bytes to %v", n, loc))
+	}
+}
+
 // GetAsync issues a get of len(dst) bytes from loc as one link of chain c:
 // at the op's completion time the data lands in dst, then `then` runs,
 // still within that event. A local get completes inline (no event). This is
@@ -224,11 +249,10 @@ func (f *Fabric) local(from int, to int32) bool {
 // dst must stay untouched by the issuer until the callback runs — the
 // issuer is normally parked in c.Wait for the duration.
 func (f *Fabric) GetAsync(c *sim.Chain, from int, loc Loc, dst []byte, then func()) {
-	if int32(len(dst)) > loc.Size {
-		panic(fmt.Sprintf("rdma: get of %d bytes from %v", len(dst), loc))
-	}
+	checkGet(len(dst), loc)
+	seg := f.segs[loc.Rank]
 	if f.local(from, loc.Rank) {
-		copy(dst, f.segs[loc.Rank].bytes(loc.Addr, len(dst)))
+		seg.read(loc.Addr, dst)
 		then()
 		return
 	}
@@ -236,7 +260,7 @@ func (f *Fabric) GetAsync(c *sim.Chain, from int, loc Loc, dst []byte, then func
 	f.st[from].BytesIn += uint64(len(dst))
 	delay := f.remote(from, loc.Rank, obs.KindRDMAGet, len(dst), false)
 	f.sched(loc.Rank, delay, func() {
-		copy(dst, f.segs[loc.Rank].bytes(loc.Addr, len(dst)))
+		seg.read(loc.Addr, dst)
 		then()
 	})
 }
@@ -247,11 +271,10 @@ func (f *Fabric) GetAsync(c *sim.Chain, from int, loc Loc, dst []byte, then func
 // in c.Wait). For the fire-and-forget put that only charges an injection
 // cost, see PutNB.
 func (f *Fabric) PutAsync(c *sim.Chain, from int, loc Loc, src []byte, then func()) {
-	if int32(len(src)) > loc.Size {
-		panic(fmt.Sprintf("rdma: put of %d bytes to %v", len(src), loc))
-	}
+	checkPut(len(src), loc)
+	seg := f.segs[loc.Rank]
 	if f.local(from, loc.Rank) {
-		copy(f.segs[loc.Rank].bytes(loc.Addr, len(src)), src)
+		seg.write(loc.Addr, src)
 		then()
 		return
 	}
@@ -259,7 +282,7 @@ func (f *Fabric) PutAsync(c *sim.Chain, from int, loc Loc, src []byte, then func
 	f.st[from].BytesOut += uint64(len(src))
 	delay := f.remote(from, loc.Rank, obs.KindRDMAPut, len(src), false)
 	f.sched(loc.Rank, delay, func() {
-		copy(f.segs[loc.Rank].bytes(loc.Addr, len(src)), src)
+		seg.write(loc.Addr, src)
 		then()
 	})
 }
@@ -267,23 +290,23 @@ func (f *Fabric) PutAsync(c *sim.Chain, from int, loc Loc, src []byte, then func
 // GetInt64Async reads the 8-byte little-endian word at loc as one link of
 // chain c, delivering the value to `then` at the op's completion time.
 func (f *Fabric) GetInt64Async(c *sim.Chain, from int, loc Loc, then func(v int64)) {
+	seg := f.segs[loc.Rank]
 	if f.local(from, loc.Rank) {
-		then(int64(binary.LittleEndian.Uint64(f.segs[loc.Rank].bytes(loc.Addr, 8))))
+		then(seg.ReadInt64(loc.Addr))
 		return
 	}
 	f.st[from].Gets++
 	f.st[from].BytesIn += 8
 	delay := f.remote(from, loc.Rank, obs.KindRDMAGet, 8, false)
-	f.sched(loc.Rank, delay, func() {
-		then(int64(binary.LittleEndian.Uint64(f.segs[loc.Rank].bytes(loc.Addr, 8))))
-	})
+	f.sched(loc.Rank, delay, func() { then(seg.ReadInt64(loc.Addr)) })
 }
 
 // PutInt64Async writes an 8-byte little-endian word to loc as one link of
 // chain c; the word becomes visible at completion time, then `then` runs.
 func (f *Fabric) PutInt64Async(c *sim.Chain, from int, loc Loc, v int64, then func()) {
+	seg := f.segs[loc.Rank]
 	if f.local(from, loc.Rank) {
-		binary.LittleEndian.PutUint64(f.segs[loc.Rank].bytes(loc.Addr, 8), uint64(v))
+		seg.WriteInt64(loc.Addr, v)
 		then()
 		return
 	}
@@ -291,7 +314,7 @@ func (f *Fabric) PutInt64Async(c *sim.Chain, from int, loc Loc, v int64, then fu
 	f.st[from].BytesOut += 8
 	delay := f.remote(from, loc.Rank, obs.KindRDMAPut, 8, false)
 	f.sched(loc.Rank, delay, func() {
-		binary.LittleEndian.PutUint64(f.segs[loc.Rank].bytes(loc.Addr, 8), uint64(v))
+		seg.WriteInt64(loc.Addr, v)
 		then()
 	})
 }
@@ -301,46 +324,45 @@ func (f *Fabric) PutInt64Async(c *sim.Chain, from int, loc Loc, v int64, then fu
 // value is delivered to `then`. Because the simulation is sequential, no
 // other operation can interleave with the atomic.
 func (f *Fabric) FetchAddAsync(c *sim.Chain, from int, loc Loc, delta int64, then func(old int64)) {
-	apply := func() int64 {
-		b := f.segs[loc.Rank].bytes(loc.Addr, 8)
-		old := int64(binary.LittleEndian.Uint64(b))
-		binary.LittleEndian.PutUint64(b, uint64(old+delta))
-		return old
-	}
+	seg := f.segs[loc.Rank]
 	if f.local(from, loc.Rank) {
-		then(apply())
+		then(seg.fetchAdd(loc.Addr, delta))
 		return
 	}
 	f.st[from].Atomics++
 	delay := f.remote(from, loc.Rank, obs.KindRDMAAtomic, 8, true)
-	f.sched(loc.Rank, delay, func() { then(apply()) })
+	f.sched(loc.Rank, delay, func() { then(seg.fetchAdd(loc.Addr, delta)) })
 }
 
 // CASAsync atomically compares the word at loc with old and, if equal,
 // replaces it with new, as one link of chain c. The observed value (== old
 // on success) is delivered to `then` at the op's completion time.
 func (f *Fabric) CASAsync(c *sim.Chain, from int, loc Loc, old, new int64, then func(observed int64)) {
-	apply := func() int64 {
-		b := f.segs[loc.Rank].bytes(loc.Addr, 8)
-		cur := int64(binary.LittleEndian.Uint64(b))
-		if cur == old {
-			binary.LittleEndian.PutUint64(b, uint64(new))
-		}
-		return cur
-	}
+	seg := f.segs[loc.Rank]
 	if f.local(from, loc.Rank) {
-		then(apply())
+		then(seg.cas(loc.Addr, old, new))
 		return
 	}
 	f.st[from].Atomics++
 	delay := f.remote(from, loc.Rank, obs.KindRDMAAtomic, 8, true)
-	f.sched(loc.Rank, delay, func() { then(apply()) })
+	f.sched(loc.Rank, delay, func() { then(seg.cas(loc.Addr, old, new)) })
 }
+
+// The blocking operations below are park-until-complete wrappers over the
+// async forms for remote targets. On the caller's own rank they perform the
+// access inline and return: the async form would complete synchronously
+// anyway, scheduling no event, so skipping the chain changes nothing in
+// virtual time — it only saves the chain and the completion closure.
 
 // Get copies the remote variable at loc into dst (len(dst) bytes, at most
 // loc.Size), as issued by rank from — the paper's "get v <- L". Blocking
 // park-until-complete wrapper over GetAsync.
 func (f *Fabric) Get(p *sim.Proc, from int, loc Loc, dst []byte) {
+	if f.local(from, loc.Rank) {
+		checkGet(len(dst), loc)
+		f.segs[loc.Rank].read(loc.Addr, dst)
+		return
+	}
 	c := f.Eng.NewChain(p)
 	f.GetAsync(c, from, loc, dst, c.Complete)
 	c.Wait()
@@ -350,6 +372,11 @@ func (f *Fabric) Get(p *sim.Proc, from int, loc Loc, dst []byte) {
 // the paper's "put L <- v". The memory becomes visible at the operation's
 // completion time. Blocking wrapper over PutAsync.
 func (f *Fabric) Put(p *sim.Proc, from int, loc Loc, src []byte) {
+	if f.local(from, loc.Rank) {
+		checkPut(len(src), loc)
+		f.segs[loc.Rank].write(loc.Addr, src)
+		return
+	}
 	c := f.Eng.NewChain(p)
 	f.PutAsync(c, from, loc, src, c.Complete)
 	c.Wait()
@@ -365,25 +392,25 @@ const InjectCost = 200 * sim.Nanosecond
 // completion. This models the paper's nonblocking remote free-bit write
 // (§III-B). src is snapshotted at issue time.
 func (f *Fabric) PutNB(p *sim.Proc, from int, loc Loc, src []byte) {
-	if int32(len(src)) > loc.Size {
-		panic(fmt.Sprintf("rdma: put of %d bytes to %v", len(src), loc))
-	}
+	checkPut(len(src), loc)
+	seg := f.segs[loc.Rank]
 	if f.local(from, loc.Rank) {
-		copy(f.segs[loc.Rank].bytes(loc.Addr, len(src)), src)
+		seg.write(loc.Addr, src)
 		return
 	}
 	f.st[from].Puts++
 	f.st[from].BytesOut += uint64(len(src))
 	data := append([]byte(nil), src...)
 	delay := f.remote(from, loc.Rank, obs.KindRDMAPut, len(src), false)
-	f.sched(loc.Rank, delay, func() {
-		copy(f.segs[loc.Rank].bytes(loc.Addr, len(data)), data)
-	})
+	f.sched(loc.Rank, delay, func() { seg.write(loc.Addr, data) })
 	p.Sleep(InjectCost)
 }
 
 // GetInt64 reads an 8-byte little-endian word at loc. Blocking wrapper.
 func (f *Fabric) GetInt64(p *sim.Proc, from int, loc Loc) int64 {
+	if f.local(from, loc.Rank) {
+		return f.segs[loc.Rank].ReadInt64(loc.Addr)
+	}
 	var out int64
 	c := f.Eng.NewChain(p)
 	f.GetInt64Async(c, from, loc, func(v int64) { out = v; c.Complete() })
@@ -393,6 +420,10 @@ func (f *Fabric) GetInt64(p *sim.Proc, from int, loc Loc) int64 {
 
 // PutInt64 writes an 8-byte little-endian word at loc. Blocking wrapper.
 func (f *Fabric) PutInt64(p *sim.Proc, from int, loc Loc, v int64) {
+	if f.local(from, loc.Rank) {
+		f.segs[loc.Rank].WriteInt64(loc.Addr, v)
+		return
+	}
 	c := f.Eng.NewChain(p)
 	f.PutInt64Async(c, from, loc, v, c.Complete)
 	c.Wait()
@@ -402,6 +433,9 @@ func (f *Fabric) PutInt64(p *sim.Proc, from int, loc Loc, v int64) {
 // value it held before the addition ("fetch_and_add(L, v)"). Blocking
 // wrapper over FetchAddAsync.
 func (f *Fabric) FetchAdd(p *sim.Proc, from int, loc Loc, delta int64) int64 {
+	if f.local(from, loc.Rank) {
+		return f.segs[loc.Rank].fetchAdd(loc.Addr, delta)
+	}
 	var out int64
 	c := f.Eng.NewChain(p)
 	f.FetchAddAsync(c, from, loc, delta, func(v int64) { out = v; c.Complete() })
@@ -413,6 +447,9 @@ func (f *Fabric) FetchAdd(p *sim.Proc, from int, loc Loc, delta int64) int64 {
 // replaces it with new. It returns the observed value (== old on success).
 // Blocking wrapper over CASAsync.
 func (f *Fabric) CAS(p *sim.Proc, from int, loc Loc, old, new int64) int64 {
+	if f.local(from, loc.Rank) {
+		return f.segs[loc.Rank].cas(loc.Addr, old, new)
+	}
 	var out int64
 	c := f.Eng.NewChain(p)
 	f.CASAsync(c, from, loc, old, new, func(v int64) { out = v; c.Complete() })
@@ -420,10 +457,13 @@ func (f *Fabric) CAS(p *sim.Proc, from int, loc Loc, old, new int64) int64 {
 	return out
 }
 
-// Segment is one rank's registered memory: a flat, growable byte array with
-// a simple size-bucketed free-list allocator on top. All Segment methods are
-// zero-cost in simulated time; they model the owner touching its own pinned
-// memory.
+// Segment is one rank's registered memory, in two zones. The dynamic zone
+// is a growable byte array with a simple size-bucketed free-list allocator
+// on top. The static zone is a sequence of bump-allocated blocks (see
+// AllocStatic), each with its own backing that grows lazily up to the
+// block's size, so a large reservation costs host memory only for the
+// prefix the rank actually touches. All Segment methods are zero-cost in
+// simulated time; they model the owner touching its own pinned memory.
 type Segment struct {
 	mem   []byte
 	bump  Addr
@@ -431,10 +471,19 @@ type Segment struct {
 	used  uint64         // bytes currently allocated
 	high  uint64         // high-water mark of allocated bytes
 
-	// Static zone: bump-only allocations at StaticBase and above, with its
-	// own lazily grown backing.
-	smem  []byte
-	sbump Addr
+	// Static zone: bump-only blocks at StaticBase and above, in address
+	// order. A rank holds a handful of them (uni-address and evacuation
+	// regions, deque, lock queue), so a linear search finds one.
+	blocks []staticBlock
+	sbump  Addr
+}
+
+// staticBlock is one static-zone reservation: [base, end), backed by mem
+// for [base, base+len(mem)). mem grows on first touch and never past the
+// block.
+type staticBlock struct {
+	base, end Addr
+	mem       []byte
 }
 
 // StaticBase is the first address of the static zone. Dynamic addresses
@@ -476,9 +525,7 @@ func (s *Segment) alloc(size int) Addr {
 	}
 	a := s.bump
 	s.bump += Addr(size)
-	// Backing memory grows lazily on first access (see bytes): large
-	// regions (uni-address, evacuation) are cheap to reserve and cost host
-	// memory only for the bytes actually touched.
+	// Backing memory grows lazily on first access (see bytes).
 	return a
 }
 
@@ -489,6 +536,7 @@ func (s *Segment) allocStatic(size int) Addr {
 	size = (size + 7) &^ 7
 	a := StaticBase + s.sbump
 	s.sbump += Addr(size)
+	s.blocks = append(s.blocks, staticBlock{base: a, end: a + Addr(size)})
 	return a
 }
 
@@ -504,46 +552,63 @@ func (s *Segment) free(addr Addr, size int) {
 	s.pools[size] = append(s.pools[size], addr)
 }
 
-// bytes returns the backing slice for [addr, addr+n), growing the zone's
-// backing lazily (one power-of-two step) on first touch.
+// bytes returns the backing slice for [addr, addr+n), growing the backing
+// of the dynamic zone, or of the static block holding addr, lazily (in
+// power-of-two steps) on first touch. It never allocates once the bytes
+// are backed.
 func (s *Segment) bytes(addr Addr, n int) []byte {
 	if addr == 0 {
 		panic("rdma: access through nil address")
 	}
 	if addr >= StaticBase {
-		off := uint64(addr - StaticBase)
-		end := off + uint64(n)
-		if end > uint64(s.sbump) {
-			panic(fmt.Sprintf("rdma: static access [0x%x,+%d) beyond allocated space (%d bytes)", uint64(addr), n, uint64(s.sbump)))
-		}
-		if end > uint64(len(s.smem)) {
-			newLen := uint64(1024)
-			if len(s.smem) > 0 {
-				newLen = uint64(len(s.smem)) * 2
-			}
-			for newLen < end {
-				newLen *= 2
-			}
-			nm := make([]byte, newLen)
-			copy(nm, s.smem)
-			s.smem = nm
-		}
-		return s.smem[off:end:end]
+		return s.staticBytes(addr, n)
 	}
 	end := uint64(addr) + uint64(n)
 	if end > uint64(s.bump) {
 		panic(fmt.Sprintf("rdma: access [0x%x,+%d) beyond allocated segment space (%d bytes)", uint64(addr), n, uint64(s.bump)))
 	}
 	if end > uint64(len(s.mem)) {
-		newLen := uint64(len(s.mem)) * 2
-		for newLen < end {
-			newLen *= 2
-		}
-		nm := make([]byte, newLen)
-		copy(nm, s.mem)
-		s.mem = nm
+		s.mem = grow(s.mem, end, math.MaxUint64)
 	}
 	return s.mem[addr:end:end]
+}
+
+func (s *Segment) staticBytes(addr Addr, n int) []byte {
+	if uint64(addr-StaticBase)+uint64(n) > uint64(s.sbump) {
+		panic(fmt.Sprintf("rdma: static access [0x%x,+%d) beyond allocated space (%d bytes)", uint64(addr), n, uint64(s.sbump)))
+	}
+	i := len(s.blocks) - 1
+	for s.blocks[i].base > addr {
+		i--
+	}
+	b := &s.blocks[i]
+	if uint64(b.end-addr) < uint64(n) {
+		panic(fmt.Sprintf("rdma: static access [0x%x,+%d) crosses the end of block [0x%x,0x%x)",
+			uint64(addr), n, uint64(b.base), uint64(b.end)))
+	}
+	off := uint64(addr - b.base)
+	end := off + uint64(n)
+	if end > uint64(len(b.mem)) {
+		b.mem = grow(b.mem, end, uint64(b.end-b.base))
+	}
+	return b.mem[off:end:end]
+}
+
+// grow returns mem extended to the smallest power-of-two step (from 1 KB,
+// or from doubling len(mem)) that covers need bytes, capped at limit, with
+// the old contents copied over.
+func grow(mem []byte, need, limit uint64) []byte {
+	newLen := uint64(1024)
+	if len(mem) > 0 {
+		newLen = uint64(len(mem)) * 2
+	}
+	for newLen < need {
+		newLen *= 2
+	}
+	newLen = min(newLen, limit)
+	nm := make([]byte, newLen)
+	copy(nm, mem)
+	return nm
 }
 
 // Bytes exposes [addr, addr+n) of the segment for owner-local access.
@@ -557,6 +622,31 @@ func (s *Segment) ReadInt64(addr Addr) int64 {
 // WriteInt64 writes a word locally (owner access, no simulated cost).
 func (s *Segment) WriteInt64(addr Addr, v int64) {
 	binary.LittleEndian.PutUint64(s.bytes(addr, 8), uint64(v))
+}
+
+// read copies len(dst) bytes at addr into dst.
+func (s *Segment) read(addr Addr, dst []byte) { copy(dst, s.bytes(addr, len(dst))) }
+
+// write copies src to addr.
+func (s *Segment) write(addr Addr, src []byte) { copy(s.bytes(addr, len(src)), src) }
+
+// fetchAdd adds delta to the word at addr and returns its prior value.
+func (s *Segment) fetchAdd(addr Addr, delta int64) int64 {
+	b := s.bytes(addr, 8)
+	old := int64(binary.LittleEndian.Uint64(b))
+	binary.LittleEndian.PutUint64(b, uint64(old+delta))
+	return old
+}
+
+// cas replaces the word at addr with new if it equals old, and returns the
+// value it observed.
+func (s *Segment) cas(addr Addr, old, new int64) int64 {
+	b := s.bytes(addr, 8)
+	cur := int64(binary.LittleEndian.Uint64(b))
+	if cur == old {
+		binary.LittleEndian.PutUint64(b, uint64(new))
+	}
+	return cur
 }
 
 // InUse returns the number of bytes currently allocated.

@@ -208,15 +208,19 @@ func (t UTSTree) SerialTime(nodes int64) sim.Time {
 // paper's implementation spawns per node; pass 0 for full fidelity. A value
 // d > 0 traverses the bottom d levels serially inside one task, trading
 // scheduling fidelity for simulation speed at very large core counts.
+//
+// The depth table of the serial walks (logTable) is computed once here and
+// shared by every task of the traversal.
 func UTS(t UTSTree, seqThreshold int) core.TaskFunc {
+	tbl := t.logTable()
 	return func(c *core.Ctx) []byte {
-		return core.Int64Ret(utsVisit(c, t, t.Root(), seqThreshold))
+		return core.Int64Ret(utsVisit(c, t, tbl, t.Root(), seqThreshold))
 	}
 }
 
-func utsVisit(c *core.Ctx, t UTSTree, n UTSNode, seqThreshold int) int64 {
+func utsVisit(c *core.Ctx, t UTSTree, tbl []float64, n UTSNode, seqThreshold int) int64 {
 	if t.GenMx-n.Depth <= seqThreshold {
-		return utsVisitSerial(c, t, n)
+		return utsVisitSerial(c, t, tbl, n)
 	}
 	nc := t.NumChildren(n)
 	c.Compute(t.NodeWork) // hash generation + traversal bookkeeping
@@ -227,10 +231,10 @@ func utsVisit(c *core.Ctx, t UTSTree, n UTSNode, seqThreshold int) int64 {
 	for i := 0; i < nc-1; i++ {
 		child := t.Child(n, i)
 		hs = append(hs, c.Spawn(func(c *core.Ctx) []byte {
-			return core.Int64Ret(utsVisit(c, t, child, seqThreshold))
+			return core.Int64Ret(utsVisit(c, t, tbl, child, seqThreshold))
 		}))
 	}
-	count := 1 + utsVisit(c, t, t.Child(n, nc-1), seqThreshold)
+	count := 1 + utsVisit(c, t, tbl, t.Child(n, nc-1), seqThreshold)
 	for _, h := range hs {
 		count += h.JoinInt64(c)
 	}
@@ -241,14 +245,14 @@ func utsVisit(c *core.Ctx, t UTSTree, n UTSNode, seqThreshold int) int64 {
 // the aggregate node work in one Compute call. The count is memoized per
 // (shape, node): within one sweep the same serial subtrees are walked by
 // every job, and on a steal the thief's recount of an already-walked
-// subtree is pure recomputation.
-func utsVisitSerial(c *core.Ctx, t UTSTree, n UTSNode) int64 {
+// subtree is pure recomputation. tbl is t.logTable().
+func utsVisitSerial(c *core.Ctx, t UTSTree, tbl []float64, n UTSNode) int64 {
 	k := subtreeKey{t.shape(), n.Desc, n.Depth}
 	var count int64
 	if v, ok := subtreeMemo.Load(k); ok {
 		count = v.(int64)
 	} else {
-		count = t.countWalk(n, t.logTable())
+		count = t.countWalk(n, tbl)
 		subtreeMemo.Store(k, count)
 	}
 	c.Compute(sim.Time(count) * t.NodeWork)
